@@ -806,7 +806,10 @@ let run_bechamel () =
 (* Every cycles/sec figure is the median of [timing_reps] repetitions
    of the whole measurement (recorded in the artifact), so a transient
    load spike during one trial cannot flip a comparison between two
-   engines measured at different moments. *)
+   engines measured at different moments.  The scalar engines'
+   repetitions are interleaved (one of each engine per round), so a
+   slower phase of a shared host lasting several trials hits every
+   engine alike. *)
 let timing_reps = 3
 
 let median xs =
@@ -833,22 +836,24 @@ let bench_sim_row ~core (b : B.t) : sim_row =
   let net = Runner.shared_netlist core in
   let sim_cycles = ref 0 in
   let run_engine engine =
-    median_of_reps (fun () ->
-        let cyc = ref 0 in
-        let (), dt =
-          time (fun () ->
-              List.iter
-                (fun seed ->
-                  let o = Runner.run_gate ~core ~engine ~netlist:net b ~seed in
-                  cyc := !cyc + o.Runner.sim_cycles)
-                profile_seeds)
-        in
-        sim_cycles := !cyc;
-        float_of_int !cyc /. dt)
+    let cyc = ref 0 in
+    let (), dt =
+      time (fun () ->
+          List.iter
+            (fun seed ->
+              let o = Runner.run_gate ~core ~engine ~netlist:net b ~seed in
+              cyc := !cyc + o.Runner.sim_cycles)
+            profile_seeds)
+    in
+    sim_cycles := !cyc;
+    float_of_int !cyc /. dt
   in
-  let full_cps = run_engine Runner.Full in
-  let event_cps = run_engine Runner.Event in
-  let compiled_cps = run_engine Runner.Compiled in
+  let rounds =
+    List.init timing_reps (fun _ ->
+        List.map run_engine [ Runner.Full; Runner.Event; Runner.Compiled ])
+  in
+  let cps i = median (List.map (fun round -> List.nth round i) rounds) in
+  let full_cps = cps 0 and event_cps = cps 1 and compiled_cps = cps 2 in
   let packed_cps =
     median_of_reps (fun () ->
         let cyc = ref 0 in

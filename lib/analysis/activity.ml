@@ -9,7 +9,9 @@ module System = Bespoke_coreapi.System
 module Obs = Bespoke_obs.Obs
 
 (* Execution-tree telemetry (no-ops unless Obs is enabled), flushed
-   once per [analyze] call. *)
+   once per [analyze] call.  Sub-phase spans inside [analysis.analyze]
+   (segment, snapshot, restore, subsume, merge, fork) account for where
+   its time goes. *)
 let m_branches = Obs.Metrics.counter "analysis.branches"
 let m_merges = Obs.Metrics.counter "analysis.merges"
 let m_prunes = Obs.Metrics.counter "analysis.prunes"
@@ -299,14 +301,20 @@ let analyze_impl ?(config = default_config) ?shadow sys =
   in
 
   let snapshot_both () =
+    Obs.Span.with_ ~name:"analysis.snapshot" @@ fun () ->
     (System.snapshot sys, Option.map System.snapshot shadow)
   in
   let restore_both (s, s_sh) =
+    Obs.Span.with_ ~name:"analysis.restore" @@ fun () ->
     System.restore sys s;
     (match shadow, s_sh with
     | Some sh, Some ss -> System.restore sh ss
     | None, _ -> ()
     | Some _, None -> fail "internal: missing shadow snapshot")
+  in
+  let subsumes ~general ~specific =
+    Obs.Span.with_ ~name:"analysis.subsume" @@ fun () ->
+    System.snapshot_subsumes ~general ~specific
   in
 
   let force_bits snap positions (value : Bvec.t) =
@@ -358,7 +366,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
           fail "FSM state became unknown (pc %s)" (Bvec.to_string (System.pc sys))
         | Bit.Zero -> go (budget - 1)
     in
-    let r = go 20 in
+    let r = Obs.Span.with_ ~name:"analysis.segment" (fun () -> go 20) in
     (r, !candidates)
   in
 
@@ -401,6 +409,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
           (* conditional jump with unknown decision: fork on the
              recorded candidates; or, under [`Enumerate], bounded
              X-bit enumeration of a computed target *)
+          Obs.Span.with_ ~name:"analysis.fork" @@ fun () ->
           let cands =
             match !candidates with
             | _ :: _ as c -> c
@@ -446,8 +455,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
                 Hashtbl.fold
                   (fun (p, _, _, _) (c, _) acc ->
                     acc
-                    || p = t
-                       && System.snapshot_subsumes ~general:c ~specific:s)
+                    || p = t && subsumes ~general:c ~specific:s)
                   table false
               in
               if covered then begin
@@ -492,18 +500,18 @@ let analyze_impl ?(config = default_config) ?shadow sys =
             let key = table_key pcv in
             let s = snapshot_both () in
             match Hashtbl.find_opt table key with
-            | Some (c, _)
-              when System.snapshot_subsumes ~general:c ~specific:(fst s) ->
+            | Some (c, _) when subsumes ~general:c ~specific:(fst s) ->
               incr prunes;
               log "prune at %04x" pcv;
               finish "pruned";
               finished := true
             | Some (c, c_sh) ->
-              let m = System.snapshot_merge c (fst s) in
-              let m_sh =
-                match c_sh, snd s with
-                | Some a, Some b -> Some (System.snapshot_merge a b)
-                | _ -> None
+              let m, m_sh =
+                Obs.Span.with_ ~name:"analysis.merge" @@ fun () ->
+                ( System.snapshot_merge c (fst s),
+                  match c_sh, snd s with
+                  | Some a, Some b -> Some (System.snapshot_merge a b)
+                  | _ -> None )
               in
               Hashtbl.replace table key (m, m_sh);
               incr merges;
@@ -520,6 +528,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
             let pending = (System.read_hook sys "irq_pending").(0) in
             (match pending with
             | Bit.X ->
+              Obs.Span.with_ ~name:"analysis.fork" @@ fun () ->
               let s = snapshot_both () in
               let gie_source =
                 match core.Coredef.gie_bit with

@@ -161,6 +161,31 @@ module Trace = struct
       (List.sort compare (thread_names ()));
     Buffer.contents b
 
+  (* End events for the spans still open at export, innermost first
+     per domain, flagged ["synthetic": "flush"].  A parked pool worker
+     sits inside [pool.idle] until it is woken or joined, so a trace
+     written while the pool is alive would otherwise not balance. *)
+  let flush_closers evs =
+    let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+    List.iter
+      (fun (e : event) ->
+        let open_ = Option.value ~default:[] (Hashtbl.find_opt stacks e.tid) in
+        match e.ph, open_ with
+        | 'B', _ -> Hashtbl.replace stacks e.tid (e.name :: open_)
+        | 'E', _ :: rest -> Hashtbl.replace stacks e.tid rest
+        | _ -> ())
+      evs;
+    let ts =
+      List.fold_left (fun acc (e : event) -> Float.max acc e.ts_us) (now_us ()) evs
+    in
+    Hashtbl.fold (fun tid open_ acc -> (tid, open_) :: acc) stacks []
+    |> List.sort compare
+    |> List.concat_map (fun (tid, open_) ->
+           List.map
+             (fun name ->
+               { name; ph = 'E'; ts_us = ts; tid; args = [ ("synthetic", "flush") ] })
+             open_)
+
   let to_jsonl () =
     match events () with
     | [] -> ""
@@ -171,7 +196,7 @@ module Trace = struct
         (fun e ->
           Buffer.add_string b (event_to_json e);
           Buffer.add_char b '\n')
-        evs;
+        (evs @ flush_closers evs);
       Buffer.contents b
 
   let write_jsonl path =

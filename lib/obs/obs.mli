@@ -110,7 +110,10 @@ module Trace : sig
       process/thread-name metadata first, then events
       ([ph:"B"/"E"/"i"], [ts] in microseconds).  Wrap the lines in a
       JSON array (e.g. [jq -s .]) to load the file in a Chrome-trace
-      viewer. *)
+      viewer.  A span still open at export (a parked pool worker's
+      [pool.idle]) is closed at the export time by a final [E] event
+      with [args] [{"synthetic":"flush"}], so every track balances;
+      {!events} is left as recorded. *)
 
   val write_jsonl : string -> unit
   (** Write {!to_jsonl} to a file. *)

@@ -13,7 +13,31 @@
       select merges in the (masked) data.
 
     All of which over-approximates the set of reachable memory states,
-    keeping Algorithm 1 sound. *)
+    keeping Algorithm 1 sound.
+
+    {1 Representation and cost}
+
+    Each word is stored dual-rail, as two [int]s: a "bit may be 0"
+    plane and a "bit may be 1" plane (a known bit sets one rail, X
+    sets both).  So [width] is limited to [Sys.int_size - 1] bits.
+
+    - Known-index accesses are word-level: one or two [int] loads or
+      stores, plus building or reading the [width]-bit {!Bvec.t} at
+      the interface.
+    - An index with [k] X bits selects exactly [2^k] words, enumerated
+      as the subsets of the free-bit mask (no cut-off).  A read ORs
+      their rails, two [int] loads per word and no allocation per
+      word; a write updates two [int]s per word.  On a 2048-word
+      memory an all-X index costs 2048 iterations of that loop.
+    - The planes live in one byte buffer, 8 bytes per [int] entry, so
+      a snapshot is a copy of [2 * words] entries (32 KiB for 2048
+      words) that the GC never scans.  {!snapshot} and {!restore} are
+      one memcpy, {!merge_snapshot} a [lor] per entry, and {!subsumes}
+      checks [specific land lnot general = 0] per entry.
+
+    With telemetry on, every read at an X index adds 1 to the
+    [sim.memory.x_reads] counter and the number of words it selects
+    to [sim.memory.x_read_words]. *)
 
 module Bit := Bespoke_logic.Bit
 module Bvec := Bespoke_logic.Bvec
@@ -68,4 +92,3 @@ val equal_snapshot : snapshot -> snapshot -> bool
 (** [consistent_snapshots a b]: no bit is definite in both snapshots
     with different values (X is compatible with anything). *)
 val consistent_snapshots : snapshot -> snapshot -> bool
-val snapshot_words : snapshot -> int

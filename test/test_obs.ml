@@ -103,47 +103,87 @@ let json_num k j =
   | Some (Obs.Json.Num n) -> n
   | _ -> Alcotest.failf "field %S missing or not a number" k
 
+(* Every line of [jsonl] parses, and B/E events are strictly balanced
+   per tid in LIFO order.  Returns the parsed lines. *)
+let check_balanced jsonl =
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl)
+  in
+  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 4 in
+  let parsed =
+    List.map
+      (fun line ->
+        match Obs.Json.parse line with
+        | Error m -> Alcotest.failf "unparseable line %S: %s" line m
+        | Ok j ->
+          let tid = int_of_float (json_num "tid" j) in
+          Alcotest.(check bool) "ts is non-negative" true (json_num "ts" j >= 0.0);
+          let stack = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+          (match json_str "ph" j with
+          | "B" -> Hashtbl.replace stacks tid (json_str "name" j :: stack)
+          | "E" -> (
+            match stack with
+            | top :: rest ->
+              Alcotest.(check string) "E closes innermost B" top
+                (json_str "name" j);
+              Hashtbl.replace stacks tid rest
+            | [] -> Alcotest.failf "E with no open span: %s" line)
+          | "i" | "M" -> ()
+          | ph -> Alcotest.failf "unexpected ph %S" ph);
+          j)
+      lines
+  in
+  Hashtbl.iter
+    (fun tid stack ->
+      if stack <> [] then
+        Alcotest.failf "tid %d ends with %d unclosed spans" tid
+          (List.length stack))
+    stacks;
+  parsed
+
 let test_jsonl_wellformed () =
   with_tracing (fun () ->
       ignore (run_tailor_mult ());
-      let lines =
-        List.filter
-          (fun l -> l <> "")
-          (String.split_on_char '\n' (Obs.Trace.to_jsonl ()))
+      let lines = check_balanced (Obs.Trace.to_jsonl ()) in
+      Alcotest.(check bool) "trace is non-empty" true (lines <> []))
+
+(* A span still open at export — here a parked worker domain's and the
+   exporting domain's own — is closed by a synthetic flush E event;
+   the recorded events stay as they are. *)
+let test_jsonl_closes_open_spans () =
+  with_tracing (fun () ->
+      let started = Atomic.make false and release = Atomic.make false in
+      let worker =
+        Domain.spawn (fun () ->
+            Obs.Span.with_ ~name:"parked" (fun () ->
+                Atomic.set started true;
+                while not (Atomic.get release) do
+                  Domain.cpu_relax ()
+                done))
       in
-      Alcotest.(check bool) "trace is non-empty" true (lines <> []);
-      (* every line parses; B/E strictly balanced per tid, LIFO order *)
-      let stacks : (int, string list) Hashtbl.t = Hashtbl.create 4 in
-      List.iter
-        (fun line ->
-          match Obs.Json.parse line with
-          | Error m -> Alcotest.failf "unparseable line %S: %s" line m
-          | Ok j -> (
-            let tid = int_of_float (json_num "tid" j) in
-            Alcotest.(check bool)
-              "ts is non-negative" true
-              (json_num "ts" j >= 0.0);
-            let stack =
-              Option.value ~default:[] (Hashtbl.find_opt stacks tid)
-            in
-            match json_str "ph" j with
-            | "B" -> Hashtbl.replace stacks tid (json_str "name" j :: stack)
-            | "E" -> (
-              match stack with
-              | top :: rest ->
-                Alcotest.(check string) "E closes innermost B" top
-                  (json_str "name" j);
-                Hashtbl.replace stacks tid rest
-              | [] -> Alcotest.failf "E with no open span: %s" line)
-            | "i" | "M" -> ()
-            | ph -> Alcotest.failf "unexpected ph %S" ph))
-        lines;
-      Hashtbl.iter
-        (fun tid stack ->
-          if stack <> [] then
-            Alcotest.failf "tid %d ends with %d unclosed spans" tid
-              (List.length stack))
-        stacks)
+      while not (Atomic.get started) do
+        Domain.cpu_relax ()
+      done;
+      let jsonl, recorded =
+        Obs.Span.with_ ~name:"exporting" (fun () ->
+            (Obs.Trace.to_jsonl (), List.length (Obs.Trace.events ())))
+      in
+      Atomic.set release true;
+      Domain.join worker;
+      Alcotest.(check int) "recorded events untouched" 2 recorded;
+      let synthetic =
+        List.filter_map
+          (fun j ->
+            match Obs.Json.member "args" j with
+            | Some a when Obs.Json.member "synthetic" a = Some (Obs.Json.Str "flush")
+              ->
+              Some (json_str "name" j)
+            | _ -> None)
+          (check_balanced jsonl)
+      in
+      Alcotest.(check (list string))
+        "one flush E per open span" [ "exporting"; "parked" ]
+        (List.sort compare synthetic))
 
 (* ---- histograms ---- *)
 
@@ -504,6 +544,8 @@ let () =
         [
           Alcotest.test_case "jsonl well-formed and balanced" `Quick
             test_jsonl_wellformed;
+          Alcotest.test_case "open spans closed at export" `Quick
+            test_jsonl_closes_open_spans;
         ] );
       ( "metrics",
         [
