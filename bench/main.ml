@@ -33,6 +33,7 @@ module Flowcache = Bespoke_core.Flowcache
 module Campaign = Bespoke_campaign.Campaign
 module Guard = Bespoke_guard.Guard
 module Obs = Bespoke_obs.Obs
+module Stats = Bespoke_obs.Stats
 
 let freq_hz = 1e8
 let profile_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
@@ -828,9 +829,43 @@ type sim_row = {
   packed_cps : float;
   compiled_cps : float;
   t_analysis : float;
+  t_analysis_phases : (string * float) list;
+      (** analysis sub-phase -> self seconds, from a traced rerun *)
   t_cut : float;
   t_profile : float;
 }
+
+(* Sub-phases of Algorithm 1, as named by its Obs spans. *)
+let analysis_phases =
+  [ "segment"; "snapshot"; "restore"; "merge"; "subsume"; "fork" ]
+
+(* Rerun one analysis with telemetry on and read each sub-phase's self
+   time (a fork's own time, without the snapshots and restores inside
+   it) out of the trace, through the same aggregation `stats` uses. *)
+let traced_analysis_phases ~core b =
+  let path = Filename.temp_file "bespoke_bench_phases" ".jsonl" in
+  Obs.reset ();
+  Obs.enable ();
+  ignore (Runner.analyze ~core b);
+  Obs.disable ();
+  Obs.Trace.write_jsonl path;
+  Obs.reset ();
+  let spans =
+    match Stats.load_trace path with
+    | Ok spans -> spans
+    | Error m -> failwith ("bench-sim: reading the analysis trace: " ^ m)
+  in
+  (try Sys.remove path with Sys_error _ -> ());
+  List.map
+    (fun phase ->
+      let name = "analysis." ^ phase in
+      ( phase,
+        List.fold_left
+          (fun acc (st : Stats.span_stat) ->
+            if st.Stats.span_name = name then acc +. (st.Stats.self_us /. 1e6)
+            else acc)
+          0.0 spans ))
+    analysis_phases
 
 let bench_sim_row ~core (b : B.t) : sim_row =
   let net = Runner.shared_netlist core in
@@ -868,6 +903,7 @@ let bench_sim_row ~core (b : B.t) : sim_row =
   in
   let sim_cycles = !sim_cycles in
   let (report, anet), t_analysis = time (fun () -> Runner.analyze ~core b) in
+  let t_analysis_phases = traced_analysis_phases ~core b in
   let _, t_cut =
     time (fun () ->
         ignore
@@ -886,6 +922,7 @@ let bench_sim_row ~core (b : B.t) : sim_row =
     packed_cps;
     compiled_cps;
     t_analysis;
+    t_analysis_phases;
     t_cut;
     t_profile;
   }
@@ -1283,14 +1320,19 @@ let run_bench_sim () =
          \"packed\": %.0f, \"compiled\": %.0f},\n\
         \     \"speedup_vs_full\": {\"event\": %.2f, \"packed\": %.2f, \
          \"compiled\": %.2f},\n\
-        \     \"phase_seconds\": {\"analysis\": %.3f, \"cut\": %.3f, \
+        \     \"phase_seconds\": {\"analysis\": %.3f, %s, \"cut\": %.3f, \
          \"profile\": %.3f}}%s\n"
         r.sr_name r.sr_core r.sr_sim_cycles r.full_cps r.event_cps r.packed_cps
         r.compiled_cps
         (r.event_cps /. r.full_cps)
         (r.packed_cps /. r.full_cps)
         (r.compiled_cps /. r.full_cps)
-        r.t_analysis r.t_cut r.t_profile
+        r.t_analysis
+        (String.concat ", "
+           (List.map
+              (fun (phase, sec) -> Printf.sprintf "\"analysis.%s\": %.4f" phase sec)
+              r.t_analysis_phases))
+        r.t_cut r.t_profile
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  ]\n}\n";

@@ -600,7 +600,7 @@ let cmd_analyze =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ json_arg $ tree_dot_arg
-        $ engine_arg Runner.Event $ jobs_arg $ obs_args))
+        $ engine_arg Runner.Compiled $ jobs_arg $ obs_args))
 
 (* ---- tailor ---- *)
 
@@ -620,7 +620,7 @@ let cmd_tailor =
          & info [ "explain" ] ~docv:"GATE"
              ~doc:"Explain what happened to a gate of the original design \
                    (numeric id, or a net/port name like $(b,pc) or \
-                   $(b,pc\\[3\\])): first-toggle provenance for exercisable \
+                   $(b,pc[3])): first-toggle provenance for exercisable \
                    gates, the typed cut reason and recorded fanin-cone \
                    constants otherwise.  Repeatable.")
   in
@@ -741,7 +741,7 @@ let cmd_tailor =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ verify_arg $ save_arg
-        $ json_arg $ explain_arg $ instrument_arg $ engine_arg Runner.Event
+        $ json_arg $ explain_arg $ instrument_arg $ engine_arg Runner.Compiled
         $ jobs_arg $ obs_args $ cache_stats_arg))
 
 (* ---- report (savings artifact across benchmarks) ---- *)

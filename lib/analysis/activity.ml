@@ -76,23 +76,13 @@ exception Shadow_mismatch of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Analysis_error s)) fmt
 let mismatch fmt = Printf.ksprintf (fun s -> raise (Shadow_mismatch s)) fmt
 
-(* Positions of specific architectural bits inside the DFF-state
-   vector, for forcing forked values.  In a bespoke (pruned) netlist
-   some hook bits are constants rather than DFFs; those get position
-   -1 and forcing skips them (a reachable forced value always agrees
-   with the constant the cut recorded). *)
+(* Slots of specific architectural bits inside a snapshot's DFF
+   planes, for forcing forked values.  In a bespoke (pruned) netlist
+   some hook bits are constants rather than DFFs; those get slot -1
+   and forcing skips them (a reachable forced value always agrees with
+   the constant the cut recorded). *)
 let dff_positions sys net hook =
-  let ids = Netlist.find_name net hook in
-  let dff_ids = Engine.dff_ids (System.engine sys) in
-  let pos_of id =
-    let rec go i =
-      if i >= Array.length dff_ids then -1
-      else if dff_ids.(i) = id then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  Array.map pos_of ids
+  Array.map (Engine.dff_slot (System.engine sys)) (Netlist.find_name net hook)
 
 type entry = {
   snap : System.snapshot;
@@ -317,21 +307,23 @@ let analyze_impl ?(config = default_config) ?shadow sys =
     System.snapshot_subsumes ~general ~specific
   in
 
-  let force_bits snap positions (value : Bvec.t) =
-    let dffs = Bvec.copy (System.snapshot_dffs snap) in
-    Array.iteri (fun i pos -> if pos >= 0 then dffs.(pos) <- value.(i)) positions;
-    System.with_dffs snap dffs
-  in
   let force_both (s, s_sh) ~pos ~pos_sh value =
-    ( force_bits s pos value,
+    ( System.force_dffs s pos value,
       match s_sh with
       | None -> None
-      | Some ss -> Some (force_bits ss pos_sh value) )
+      | Some ss -> Some (System.force_dffs ss pos_sh value) )
   in
 
   (* Simulate from the current (settled, boundary) state to the next
      instruction boundary.  Returns the recorded conditional-jump
-     candidates if the branch decision was unknown. *)
+     candidates if the branch decision was unknown.  The per-cycle
+     hooks are read through gate ids resolved here, once. *)
+  let hook_id name = (Netlist.find_name net name).(0) in
+  let exec_jump = hook_id "exec_jump"
+  and branch_taken = hook_id "branch_taken"
+  and insn_boundary = hook_id "insn_boundary"
+  and irq_pending = hook_id "irq_pending"
+  and pc_ids = Netlist.find_name net "pc" in
   let simulate_segment () =
     let candidates = ref [] in
     let rec go budget =
@@ -344,27 +336,25 @@ let analyze_impl ?(config = default_config) ?shadow sys =
       if !total_cycles > config.max_total_cycles then
         fail "exceeded max_total_cycles (%d)" config.max_total_cycles;
       (* record candidate targets at an unknown branch decision *)
-      (match (System.read_hook sys "exec_jump").(0) with
-      | Bit.One | Bit.X -> (
-        log "exec_jump: taken=%c"
-          (Bit.to_char (System.read_hook sys "branch_taken").(0));
-        match (System.read_hook sys "branch_taken").(0) with
-        | Bit.X -> (
+      if Engine.value_code eng exec_jump <> 0 then begin
+        let taken = Engine.value_code eng branch_taken in
+        if config.verbose then
+          log "exec_jump: taken=%c" (Bit.to_char (Bit.of_int_exn taken));
+        if taken = Bit.code_x then
           match
             ( System.read_hook_int sys "branch_target",
               System.read_hook_int sys "branch_fallthrough" )
           with
           | Some t, Some f -> candidates := [ t; f ]
-          | _ -> ())
-        | Bit.Zero | Bit.One -> ())
-      | Bit.Zero -> ());
+          | _ -> ()
+      end;
       if System.halted sys then `Halted
       else
-        match (System.read_hook sys "insn_boundary").(0) with
-        | Bit.One -> `Boundary
-        | Bit.X ->
+        match Engine.value_code eng insn_boundary with
+        | 1 -> `Boundary
+        | 0 -> go (budget - 1)
+        | _ ->
           fail "FSM state became unknown (pc %s)" (Bvec.to_string (System.pc sys))
-        | Bit.Zero -> go (budget - 1)
     in
     let r = Obs.Span.with_ ~name:"analysis.segment" (fun () -> go 20) in
     (r, !candidates)
@@ -396,7 +386,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
       end
       else begin
         compare_shadow "boundary";
-        match Bvec.to_int (System.pc sys) with
+        match Engine.read_int_ids eng pc_ids with
         | None when !candidates = [] && config.computed_branch_fallback = `Escape
           ->
           (* a computed branch whose target merged to X: see the
@@ -492,9 +482,8 @@ let analyze_impl ?(config = default_config) ?shadow sys =
         | Some pcv ->
           cur_pc := pcv;
           let info = classify ~pc:pcv in
-          let pending = (System.read_hook sys "irq_pending").(0) in
           let is_ctl =
-            info.Coredef.ci_control || not (Bit.equal pending Bit.Zero)
+            info.Coredef.ci_control || Engine.value_code eng irq_pending <> 0
           in
           if is_ctl && not !skip_table then begin
             let key = table_key pcv in
@@ -525,9 +514,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
                fork must leave [pending] definite in every child, so
                every X bit among {IFG0, GIE, IE0} is enumerated (at
                most 8 children). *)
-            let pending = (System.read_hook sys "irq_pending").(0) in
-            (match pending with
-            | Bit.X ->
+            if Engine.value_code eng irq_pending = Bit.code_x then begin
               Obs.Span.with_ ~name:"analysis.fork" @@ fun () ->
               let s = snapshot_both () in
               let gie_source =
@@ -580,7 +567,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
               | [] -> assert false);
               log "fork on pending irq at %04x (%d children)" pcv
                 (List.length children)
-            | Bit.Zero | Bit.One -> ());
+            end;
             match simulate_segment () with
             | `Halted, _ ->
               incr halted_paths;

@@ -383,7 +383,7 @@ let resolve_analysis_config ?config (b : Benchmark.t) =
       irq_x = b.Benchmark.uses_irq;
     }
 
-let analyze ?config ?(engine = Event) ?netlist ~core (b : Benchmark.t) =
+let analyze ?config ?(engine = Compiled) ?netlist ~core (b : Benchmark.t) =
   Obs.Span.with_ ~name:"runner.analyze"
     ~args:[ ("benchmark", b.Benchmark.name) ]
   @@ fun () ->

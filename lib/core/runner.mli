@@ -109,7 +109,7 @@ val analyze :
 (** Input-independent analysis of the benchmark (inputs per its
     [input_ranges]; GPIO X; IRQ X only if the benchmark uses it).
     Returns the report and the netlist analyzed.  [engine] (default
-    [Event]) selects the scalar engine driving the symbolic
+    [Compiled]) selects the scalar engine driving the symbolic
     exploration; @raise Invalid_argument on [Packed]. *)
 
 val resolve_analysis_config :

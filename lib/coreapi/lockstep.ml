@@ -14,6 +14,10 @@ type result = {
   gpio_final : int;
   outputs : int list;
   toggles : int array;
+  reg_seen : (int * int) array;
+      (* per architectural register, in [arch_regs] order: the bits
+         seen 0 and the bits seen 1 at some compared instruction
+         boundary *)
 }
 
 type divergence_info = {
@@ -48,26 +52,38 @@ let concrete_bits_match expected (got : Bvec.t) =
     got;
   !ok
 
-let compare_boundary ~x_dont_care ~insn_idx sys (iss : Coredef.iss) =
+(* [seen0.(k)]/[seen1.(k)] accumulate the bits of architectural
+   register [k] seen 0/1 at a compared boundary. *)
+let compare_boundary ~x_dont_care ~insn_idx ~seen0 ~seen1 sys
+    (iss : Coredef.iss) =
   let core = System.core sys in
   let hx = Coredef.hex_digits core in
   let at_pc = iss.Coredef.pc () in
-  let check name expected (got : Bvec.t) =
+  let check k name expected (got : Bvec.t) =
     match Bvec.to_int got with
-    | Some v when v = expected -> ()
+    | Some v when v = expected ->
+      seen0.(k) <- seen0.(k) lor (lnot v land ((1 lsl Bvec.width got) - 1));
+      seen1.(k) <- seen1.(k) lor v
     | Some v ->
       fail ~at_insn:insn_idx ~at_pc ~what:name
         "insn %d: %s mismatch: ISS %0*x, CPU %0*x (iss pc %0*x)" insn_idx name
         hx expected hx v hx at_pc
-    | None when x_dont_care && concrete_bits_match expected got -> ()
+    | None when x_dont_care && concrete_bits_match expected got ->
+      Array.iteri
+        (fun i b ->
+          match b with
+          | Bit.Zero -> seen0.(k) <- seen0.(k) lor (1 lsl i)
+          | Bit.One -> seen1.(k) <- seen1.(k) lor (1 lsl i)
+          | Bit.X -> ())
+        got
     | None ->
       fail ~at_insn:insn_idx ~at_pc ~what:name
         "insn %d: %s is unknown in CPU: %s (ISS %0*x)" insn_idx name
         (Bvec.to_string got) hx expected
   in
-  List.iter
-    (fun r ->
-      check (core.Coredef.reg_name r) (iss.Coredef.reg r) (System.reg sys r))
+  List.iteri
+    (fun k r ->
+      check k (core.Coredef.reg_name r) (iss.Coredef.reg r) (System.reg sys r))
     core.Coredef.arch_regs;
   (* Cycle agreement: the CPU spends extra cycles in its reset state. *)
   let cpu_cycles = System.cycles sys in
@@ -132,6 +148,8 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
     | `Fetch -> ()
     | `Halted | `Unknown -> fail ~what:"reset" "did not reach the first fetch");
     let insn_idx = ref 0 in
+    let nregs = List.length core.Coredef.arch_regs in
+    let seen0 = Array.make nregs 0 and seen1 = Array.make nregs 0 in
     let finished = ref false in
     while not !finished do
       if !insn_idx > max_insns then
@@ -164,7 +182,8 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
           fail ~at_insn:!insn_idx
             ~at_pc:(iss.Coredef.pc ())
             ~what:"halt" "ISS halted but CPU did not"
-        else compare_boundary ~x_dont_care ~insn_idx:!insn_idx sys iss
+        else compare_boundary ~x_dont_care ~insn_idx:!insn_idx ~seen0 ~seen1 sys
+            iss
       end
     done;
     Ok
@@ -174,6 +193,7 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
         gpio_final = iss.Coredef.gpio_out ();
         outputs = List.map snd (iss.Coredef.output_trace ());
         toggles = Engine.toggle_counts (System.engine sys);
+        reg_seen = Array.map2 (fun z o -> (z, o)) seen0 seen1;
       }
   with Diverged info -> Error info
 

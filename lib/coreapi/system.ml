@@ -25,6 +25,8 @@ type hooks = {
   dmem_wdata : int array;
   dmem_wen : int;
   dmem_ben : int array;  (* one byte-enable per 8 data bits *)
+  gpio_in_ids : int array;
+  irq_id : int;
   gpio_wr : int;
   halted : int;
   fetching : int;
@@ -44,9 +46,6 @@ type t = {
   mutable cycle : int;
   mutable trace : (int * Bvec.t) list;  (* newest first *)
 }
-
-let word_index t (addr : Bvec.t) =
-  Array.sub addr t.core.Coredef.addr_shift (ilog2 t.core.Coredef.mem_words)
 
 let create ?mode ?netlist ~core (image : Coredef.image) =
   let net = match netlist with Some n -> n | None -> core.Coredef.build () in
@@ -74,6 +73,8 @@ let create ?mode ?netlist ~core (image : Coredef.image) =
       dmem_wdata = Netlist.find_name net "dmem_wdata";
       dmem_wen = bit0 "dmem_wen";
       dmem_ben = Netlist.find_name net "dmem_ben";
+      gpio_in_ids = Netlist.find_input net "gpio_in";
+      irq_id = (Netlist.find_input net "irq").(0);
       gpio_wr = bit0 "gpio_wr";
       halted = bit0 "halted";
       fetching = bit0 "fetching";
@@ -99,30 +100,31 @@ let netlist t = Engine.netlist t.eng
 let engine t = t.eng
 let image t = t.image
 
+let read_ids t ids = Array.map (Engine.value t.eng) ids
+
+let set_ids t ids (v : Bvec.t) =
+  Array.iteri (fun i id -> Engine.set_gate t.eng id v.(i)) ids
+
 (* Feed combinational memory read data for the currently settled
    cycle.  The int fast path applies while address and stored word are
    fully known (the overwhelmingly common concrete case); any X falls
    back to the ternary Bvec path with identical semantics. *)
-let feed_port t mem ~widx ~rdata ~addr_name ~rdata_name =
-  (match Engine.read_int_ids t.eng widx with
+let feed_port t mem ~widx ~rdata =
+  match Engine.read_int_ids t.eng widx with
   | Some w -> (
     match Memory.read_word_int mem w with
     | Some v -> Engine.set_gates_int t.eng rdata v
-    | None -> Engine.set_input t.eng rdata_name (Memory.read_word mem w))
-  | None ->
-    let addr = Engine.read t.eng addr_name in
-    Engine.set_input t.eng rdata_name (Memory.read mem (word_index t addr)))
+    | None -> set_ids t rdata (Memory.read_word mem w))
+  | None -> set_ids t rdata (Memory.read mem (read_ids t widx))
 
 let feed_memories t =
-  feed_port t t.rom ~widx:t.hk.pmem_widx ~rdata:t.hk.pmem_rdata
-    ~addr_name:"pmem_addr" ~rdata_name:"pmem_rdata";
-  feed_port t t.ram ~widx:t.hk.dmem_widx ~rdata:t.hk.dmem_rdata
-    ~addr_name:"dmem_addr" ~rdata_name:"dmem_rdata";
+  feed_port t t.rom ~widx:t.hk.pmem_widx ~rdata:t.hk.pmem_rdata;
+  feed_port t t.ram ~widx:t.hk.dmem_widx ~rdata:t.hk.dmem_rdata;
   Engine.eval_cone t.eng t.mem_cone
 
 let apply_inputs t =
-  Engine.set_input t.eng "gpio_in" t.gpio_in;
-  Engine.set_input t.eng "irq" [| t.irq |]
+  set_ids t t.hk.gpio_in_ids t.gpio_in;
+  Engine.set_gate t.eng t.hk.irq_id t.irq
 
 let reset t =
   Memory.clear t.ram Bit.Zero;
@@ -185,11 +187,10 @@ let byte_mask t (ben : Bvec.t) =
   Array.init t.core.Coredef.word_bits (fun i -> ben.(i / 8))
 
 let sample_writes_slow t wen =
-  let addr = read_hook t "dmem_addr" in
-  let ben = read_hook t "dmem_ben" in
-  let data = read_hook t "dmem_wdata" in
-  let mask = byte_mask t ben in
-  Memory.write t.ram ~addr:(word_index t addr) ~data ~mask ~en:wen
+  let hk = t.hk in
+  let mask = byte_mask t (read_ids t hk.dmem_ben) in
+  Memory.write t.ram ~addr:(read_ids t hk.dmem_widx)
+    ~data:(read_ids t hk.dmem_wdata) ~mask ~en:wen
 
 let sample_writes t =
   let hk = t.hk in
@@ -258,31 +259,60 @@ let run ?(max_cycles = 5_000_000) t =
   if not (halted t) then failwith "System.run: cycle limit exceeded";
   t.cycle
 
-type snapshot = { dffs : Bvec.t; ram_snap : Memory.snapshot }
+(* An explorer state: the DFF state as the engine's dual-rail planes
+   (see {!Engine.dff_planes}) plus the data RAM. *)
+type snapshot = { dffs : int array; ram_snap : Memory.snapshot }
 
 let snapshot t =
-  { dffs = Engine.dff_state t.eng; ram_snap = Memory.snapshot t.ram }
+  { dffs = Engine.dff_planes t.eng; ram_snap = Memory.snapshot t.ram }
 
 let restore t s =
   Memory.restore t.ram s.ram_snap;
-  Engine.restore_dff_state t.eng s.dffs;
+  Engine.restore_dff_planes t.eng s.dffs;
   apply_inputs t;
   Engine.eval t.eng;
   feed_memories t;
   (* the jump between exploration states is not switching activity *)
   Engine.sync_prev t.eng
 
-let snapshot_dffs s = s.dffs
 let snapshot_ram s = s.ram_snap
 
+let planes_subsume ~general ~specific =
+  let n = Array.length general in
+  let rec go i =
+    i >= n
+    || Array.unsafe_get specific i land lnot (Array.unsafe_get general i) = 0
+       && go (i + 1)
+  in
+  Array.length specific = n && go 0
+
 let snapshot_subsumes ~general ~specific =
-  Bvec.subsumes ~general:general.dffs ~specific:specific.dffs
+  planes_subsume ~general:general.dffs ~specific:specific.dffs
   && Memory.subsumes ~general:general.ram_snap ~specific:specific.ram_snap
 
 let snapshot_merge a b =
   {
-    dffs = Bvec.merge a.dffs b.dffs;
+    dffs = Array.map2 ( lor ) a.dffs b.dffs;
     ram_snap = Memory.merge_snapshot a.ram_snap b.ram_snap;
   }
 
-let with_dffs s dffs = { s with dffs }
+(* A copy of [s] with DFF slot [slots.(i)] (from {!Engine.dff_slot})
+   set to [value.(i)]; slots of -1 are skipped. *)
+let force_dffs s (slots : int array) (value : Bvec.t) =
+  let d = Array.copy s.dffs in
+  let nw = Array.length d / 2 in
+  Array.iteri
+    (fun i slot ->
+      if slot >= 0 then begin
+        let w = slot lsr 6 and m = 1 lsl (slot land 63) in
+        let lo, hi =
+          match value.(i) with
+          | Bit.Zero -> (m, 0)
+          | Bit.One -> (0, m)
+          | Bit.X -> (m, m)
+        in
+        d.(w) <- d.(w) land lnot m lor lo;
+        d.(nw + w) <- d.(nw + w) land lnot m lor hi
+      end)
+    slots;
+  { s with dffs = d }

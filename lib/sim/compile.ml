@@ -972,6 +972,13 @@ let code_loc t l =
   and hi = (Array.unsafe_get t.hi c lsr b) land 1 in
   hi + (lo land hi)
 
+(* Carry into every bit of a [mask]-wide chain whose carry follows
+   c' = g lor (p land c) from c0: the native add of (g lor p) and g
+   has exactly that carry recurrence. *)
+let carries mask g p c0 =
+  let a = g lor p in
+  ((a + g + c0) lxor a lxor g) land mask
+
 let exec t i =
   let code = t.p.code in
   let o = Array.unsafe_get t.p.ioff i in
@@ -1074,7 +1081,6 @@ let exec t i =
   else begin
     (* opc = 10: recovered ripple-carry adder *)
     let mask = Array.unsafe_get code (o + 1)
-    and w = Array.unsafe_get code (o + 2)
     and cin = Array.unsafe_get code (o + 3) in
     let d_axb = Array.unsafe_get code (o + 4)
     and d_out = Array.unsafe_get code (o + 5)
@@ -1088,64 +1094,24 @@ let exec t i =
     let cc = cin lsr 6 and cb = cin land 63 in
     let cl = (Array.unsafe_get t.lo cc lsr cb) land 1
     and ch = (Array.unsafe_get t.hi cc lsr cb) land 1 in
-    if (xlo land xhi) lor (ylo land yhi) lor (cl land ch) = 0 then begin
-      (* no X anywhere: one native add reconstructs every internal
-         gate of the ripple chain word-wise *)
-      let a = xhi and b = yhi in
-      let tsum = a + b + ch in
-      let u = tsum lxor a lxor b in
-      (* bit k of [u] is the carry into bit k *)
-      let axb = a lxor b in
-      let sum = tsum land mask in
-      let t1 = a land b in
-      let cinw = u land mask in
-      let t2 = cinw land axb in
-      let cout = (u lsr 1) land mask in
-      store t d_axb (lnot axb land mask) axb;
-      store t d_out (lnot sum land mask) sum;
-      store t d_t1 (lnot t1 land mask) t1;
-      store t d_t2 (lnot t2 land mask) t2;
-      store t d_cout (lnot cout land mask) cout
-    end
-    else begin
-      (* three-valued fallback: exact per-bit gate functions *)
-      let lo_axb = ref 0 and hi_axb = ref 0 in
-      let lo_out = ref 0 and hi_out = ref 0 in
-      let lo_t1 = ref 0 and hi_t1 = ref 0 in
-      let lo_t2 = ref 0 and hi_t2 = ref 0 in
-      let lo_co = ref 0 and hi_co = ref 0 in
-      let cc = ref (ch + (cl land ch)) in
-      for k = 0 to w - 1 do
-        let xc =
-          let l = (xlo lsr k) land 1 and h = (xhi lsr k) land 1 in
-          h + (l land h)
-        in
-        let yc =
-          let l = (ylo lsr k) land 1 and h = (yhi lsr k) land 1 in
-          h + (l land h)
-        in
-        let axb = Bit.tbl_xor.((xc * 3) + yc) in
-        let out = Bit.tbl_xor.((axb * 3) + !cc) in
-        let t1 = Bit.tbl_and.((xc * 3) + yc) in
-        let t2 = Bit.tbl_and.((!cc * 3) + axb) in
-        let co = Bit.tbl_or.((t1 * 3) + t2) in
-        let dep lo hi c =
-          lo := !lo lor ((1 - (c land 1)) lsl k);
-          hi := !hi lor (((c + 1) lsr 1) lsl k)
-        in
-        dep lo_axb hi_axb axb;
-        dep lo_out hi_out out;
-        dep lo_t1 hi_t1 t1;
-        dep lo_t2 hi_t2 t2;
-        dep lo_co hi_co co;
-        cc := co
-      done;
-      store t d_axb !lo_axb !hi_axb;
-      store t d_out !lo_out !hi_out;
-      store t d_t1 !lo_t1 !hi_t1;
-      store t d_t2 !lo_t2 !hi_t2;
-      store t d_cout !lo_co !hi_co
-    end
+    (* Every gate of the chain is evaluated word-wise in dual rail,
+       which is exact Kleene logic with or without X.  Only the carry
+       ripples, on each rail as c' = g lor (p land c): on the hi rail
+       g = t1.hi, p = axb.hi; on the lo rail g = t1.lo land axb.lo,
+       p = t1.lo. *)
+    let axb_lo = (xlo land ylo) lor (xhi land yhi)
+    and axb_hi = (xlo land yhi) lor (xhi land ylo) in
+    let t1_lo = xlo lor ylo and t1_hi = xhi land yhi in
+    let c_lo = carries mask (t1_lo land axb_lo) t1_lo cl
+    and c_hi = carries mask t1_hi axb_hi ch in
+    let t2_lo = c_lo lor axb_lo and t2_hi = c_hi land axb_hi in
+    store t d_axb axb_lo axb_hi;
+    store t d_out
+      ((axb_lo land c_lo) lor (axb_hi land c_hi))
+      ((axb_lo land c_hi) lor (axb_hi land c_lo));
+    store t d_t1 t1_lo t1_hi;
+    store t d_t2 t2_lo t2_hi;
+    store t d_cout (t1_lo land t2_lo) (t1_hi lor t2_hi)
   end
 
 (* Drain pending instructions in topological order.  Every reader of a
@@ -1439,3 +1405,40 @@ let restore_dff_state t (s : Bvec.t) =
     invalid_arg "Compile.restore_dff_state: width mismatch";
   Array.iteri (fun i id -> write_bit t id s.(i)) t.p.dff_ids;
   eval t
+
+(* DFF planes: the state words of the DFF chunks, can-be-0 rails
+   first, then can-be-1 rails, in clock-edge plan order. *)
+let dff_planes t =
+  let dc = t.p.dc_chunk in
+  let n = Array.length dc in
+  let a = Array.make (2 * n) 0 in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get dc i in
+    Array.unsafe_set a i (Array.unsafe_get t.lo c);
+    Array.unsafe_set a (n + i) (Array.unsafe_get t.hi c)
+  done;
+  a
+
+(* One [store] per chunk: only the readers of bits that differ from
+   the current state are woken. *)
+let restore_dff_planes t (a : int array) =
+  let dc = t.p.dc_chunk in
+  let n = Array.length dc in
+  if Array.length a <> 2 * n then
+    invalid_arg "Compile.restore_dff_planes: width mismatch";
+  for i = 0 to n - 1 do
+    store t (Array.unsafe_get dc i) (Array.unsafe_get a i)
+      (Array.unsafe_get a (n + i))
+  done;
+  eval t
+
+let dff_slot t g =
+  match t.net.Netlist.gates.(g).op with
+  | Gate.Dff _ ->
+    let c = t.p.g_chunk.(g) in
+    let dc = t.p.dc_chunk in
+    let rec find i =
+      if dc.(i) = c then (i lsl 6) lor t.p.g_bit.(g) else find (i + 1)
+    in
+    find 0
+  | _ -> -1

@@ -87,6 +87,9 @@ val snapshot_values : t -> Bvec.t
 val dff_ids : t -> int array
 val dff_state : t -> Bvec.t
 val restore_dff_state : t -> Bvec.t -> unit
+val dff_planes : t -> int array
+val restore_dff_planes : t -> int array -> unit
+val dff_slot : t -> int -> int
 
 (** {1 Program introspection} *)
 

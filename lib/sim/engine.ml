@@ -531,6 +531,44 @@ let restore_dff_state t (s : Bvec.t) =
   Array.iteri (fun i id -> write t id (code_of_bit s.(i))) t.dffs;
   eval t
 
+(* Scalar modes pack 63 DFFs per word, in [dff_ids] order. *)
+let plane_words t = (Array.length t.dffs + 62) / 63
+
+let dff_planes t =
+  let nw = plane_words t in
+  let a = Array.make (2 * nw) 0 in
+  Array.iteri
+    (fun i id ->
+      let w = i / 63 and b = i mod 63 in
+      match get t id with
+      | 0 -> a.(w) <- a.(w) lor (1 lsl b)
+      | 1 -> a.(nw + w) <- a.(nw + w) lor (1 lsl b)
+      | _ ->
+        a.(w) <- a.(w) lor (1 lsl b);
+        a.(nw + w) <- a.(nw + w) lor (1 lsl b))
+    t.dffs;
+  a
+
+let restore_dff_planes t (a : int array) =
+  let nw = plane_words t in
+  if Array.length a <> 2 * nw then
+    invalid_arg "Engine.restore_dff_planes: width mismatch";
+  Array.iteri
+    (fun i id ->
+      let w = i / 63 and b = i mod 63 in
+      let lo = (a.(w) lsr b) land 1 and hi = (a.(nw + w) lsr b) land 1 in
+      write t id (hi + (lo land hi)))
+    t.dffs;
+  eval t
+
+let dff_slot t id =
+  let rec find i =
+    if i >= Array.length t.dffs then -1
+    else if t.dffs.(i) = id then ((i / 63) lsl 6) lor (i mod 63)
+    else find (i + 1)
+  in
+  find 0
+
 (* ---------------------------------------------------------------- *)
 (* Compiled-mode dispatch.  The shadowing definitions below route
    every public operation to the word-level compiled engine when the
@@ -662,5 +700,16 @@ let restore_dff_state t s =
   match t.comp with
   | Some c -> Compile.restore_dff_state c s
   | None -> restore_dff_state t s
+
+let dff_planes t =
+  match t.comp with Some c -> Compile.dff_planes c | None -> dff_planes t
+
+let restore_dff_planes t a =
+  match t.comp with
+  | Some c -> Compile.restore_dff_planes c a
+  | None -> restore_dff_planes t a
+
+let dff_slot t id =
+  match t.comp with Some c -> Compile.dff_slot c id | None -> dff_slot t id
 
 let compile_stats t = Option.map Compile.stats t.comp

@@ -146,6 +146,26 @@ val restore_dff_state : t -> Bvec.t -> unit
 (** Overwrite DFF outputs and re-settle combinational logic.  Does not
     touch activity. *)
 
+val dff_planes : t -> int array
+(** The DFF state as dual-rail planes: the first half of the array
+    holds can-be-0 words, the second half the matching can-be-1 words
+    (a known bit sets one rail, X sets both, unused bits neither).  In
+    [Compiled] mode the words are copies of the DFF chunks' own state
+    words; otherwise DFF [i] of [dff_ids] is bit [i mod 63] of word
+    [i / 63].  Planes of one instance compare and merge word-wise:
+    [a] subsumes [b] iff [b land lnot a = 0] on every word, and their
+    ternary merge is [a lor b]. *)
+
+val restore_dff_planes : t -> int array -> unit
+(** Write back planes taken by {!dff_planes} on this instance and
+    re-settle; only readers of DFFs whose value changed are woken.
+    Does not touch activity. *)
+
+val dff_slot : t -> int -> int
+(** Position of DFF gate [id] in {!dff_planes}: [(word lsl 6) lor bit]
+    within the can-be-0 half (the can-be-1 bit sits at the same offset
+    in the second half), or [-1] if [id] is not a DFF. *)
+
 val compile_stats : t -> Compile.stats option
 (** Program statistics when running in [Compiled] mode, [None]
     otherwise. *)

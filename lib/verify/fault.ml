@@ -99,35 +99,49 @@ let shuffle rng a =
   done;
   a
 
-(* The nets the lockstep comparator reads at every instruction
-   boundary (System.reg over the core's architectural registers): a
-   toggling DFF behind one of these holds each of its values across at
-   least one boundary (architectural registers only change at
-   instruction writes, and the PC feeds every fetch), so a stuck-at
-   there is both activated and propagated — detectable by
-   construction. *)
-let observed_nets (core : Bespoke_coreapi.Coredef.t) =
-  List.filter_map core.Bespoke_coreapi.Coredef.reg_hook
-    core.Bespoke_coreapi.Coredef.arch_regs
-
+(* The DFFs behind the nets the lockstep comparator reads at every
+   instruction boundary (System.reg over the core's architectural
+   registers), each mapped to its (register position in [arch_regs],
+   bit).  A stuck-at-v on such a DFF is both activated and propagated
+   as soon as the fault-free run holds the opposite value at a
+   compared boundary: the comparator then reads v where the ISS has
+   not-v.  Toggling is not enough — a bit such as the top of the PC
+   toggles once during reset and never holds its reset value at a
+   boundary. *)
 let observed_dffs ~core net =
   let set = Hashtbl.create 64 in
-  List.iter
-    (fun name ->
-      if Netlist.mem_name net name then
-        Array.iter
-          (fun id ->
+  List.iteri
+    (fun k r ->
+      match core.Bespoke_coreapi.Coredef.reg_hook r with
+      | Some name when Netlist.mem_name net name ->
+        Array.iteri
+          (fun bit id ->
             match net.Netlist.gates.(id).Gate.op with
-            | Gate.Dff _ -> Hashtbl.replace set id ()
+            | Gate.Dff _ -> Hashtbl.replace set id (k, bit)
             | _ -> ())
-          (Netlist.find_name net name))
-    (observed_nets core);
+          (Netlist.find_name net name)
+      | _ -> ())
+    core.Bespoke_coreapi.Coredef.arch_regs;
   set
 
-let generate ?(seed = 1) ~core ~n ~toggles net =
+let generate ?(seed = 1) ~reg_seen ~core ~n ~toggles net =
   let rng = ref (lcg ((seed * 2654435761) lor 1)) in
   let exercised id = id < Array.length toggles && toggles.(id) > 0 in
   let observed = observed_dffs ~core net in
+  (* does the fault-free run hold [v] on DFF [gid] at some boundary? *)
+  let held gid v =
+    match Hashtbl.find_opt observed gid with
+    | Some (k, bit) when k < Array.length reg_seen ->
+      let seen0, seen1 = reg_seen.(k) in
+      (match v with
+      | Bit.Zero -> seen0
+      | Bit.One -> seen1
+      | Bit.X -> 0)
+      lsr bit
+      land 1
+      = 1
+    | _ -> false
+  in
   let arch = ref [] in
   let stuck = ref [] and ties = ref [] and drops = ref [] and swaps = ref [] in
   Array.iteri
@@ -186,7 +200,9 @@ let generate ?(seed = 1) ~core ~n ~toggles net =
         in
         let kind, detectable =
           match k with
-          | 0 -> (Stuck_at (stuck_value ()), true)
+          | 0 ->
+            let v = stuck_value () in
+            (Stuck_at v, held gid (Bit.lnot v))
           | 1 -> (Stuck_at (stuck_value ()), false)
           | 2 -> (Wrong_tie, false)
           | 3 -> (Drop_gate, false)

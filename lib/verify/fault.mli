@@ -14,14 +14,14 @@
     - {b swapped-function}: the gate computes a sibling function
       (and<->or, nand<->nor, xor<->xnor, buf<->not, mux data swap).
 
-    A fault is {e detectable} when it is a stuck-at on an exercised
+    A fault is {e detectable} when it is a stuck-at-v on an exercised
     (positive toggle count) DFF behind a net the lockstep comparator
     observes at every instruction boundary (the core's hooked
-    architectural registers — PC, SP, SR, R4-R15 on MSP430): the
-    fault-free run holds each value of such a state bit across at
-    least one boundary, so the stuck value is both activated and
-    propagated to a compared net.  The campaign asserts a 100% kill
-    rate over detectable faults; stuck-ats on other exercised gates
+    architectural registers — PC, SP, SR, R4-R15 on MSP430), and the
+    fault-free run holds not-v on that DFF at some compared boundary:
+    the stuck value is then both activated and propagated to a
+    compared net.  The campaign asserts a 100% kill rate over
+    detectable faults; stuck-ats on other exercised gates
     and the remaining classes may be logically masked or functionally
     equivalent (a dead tie, a redundant gate) and are reported
     honestly as killed/survived. *)
@@ -39,7 +39,8 @@ type t = {
   kind : kind;
   gate : int;  (** gate id in the bespoke netlist *)
   detectable : bool;
-      (** stuck-at on an exercised, boundary-observed state bit:
+      (** stuck-at-v on an exercised, boundary-observed state bit that
+          the fault-free run holds at not-v on a compared boundary:
           guaranteed activated and propagated, must be killed *)
   desc : string;  (** human-readable site description *)
 }
@@ -53,12 +54,15 @@ val inject : Netlist.t -> t -> Netlist.t
     The result still validates. *)
 
 val generate :
-  ?seed:int -> core:Bespoke_coreapi.Coredef.t -> n:int ->
-  toggles:int array -> Netlist.t -> t list
+  ?seed:int -> reg_seen:(int * int) array -> core:Bespoke_coreapi.Coredef.t ->
+  n:int -> toggles:int array -> Netlist.t -> t list
 (** Up to [n] faults, deterministically drawn (PRNG [seed], default 1)
     from the candidate sites of every kind, stuck-at sites first.
     [core] supplies the boundary-observed register nets that make a
-    stuck-at detectable.  [toggles] are per-gate toggle counts from a
-    fault-free co-simulated run of the same netlist; stuck-at sites
-    are restricted to exercised gates so the resulting faults are
-    detectable by construction. *)
+    stuck-at detectable; [reg_seen] (the union of
+    {!Bespoke_coreapi.Lockstep.result.reg_seen} over the fault-free
+    runs) says which values each of their bits held at some compared
+    boundary — with none recorded, no stuck-at is detectable.
+    [toggles] are per-gate toggle counts from a fault-free
+    co-simulated run of the same netlist; stuck-at sites are
+    restricted to exercised gates. *)

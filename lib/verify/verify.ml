@@ -191,6 +191,7 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
   (* layer 1a: coverage-directed input-based co-simulation *)
   let cov = Coverage.explore ?budget:explore_budget ~core b in
   let toggle_union = Array.make (Netlist.gate_count bespoke) 0 in
+  let seen_union = Array.make (List.length core.Coredef.arch_regs) (0, 0) in
   let inputs =
     List.map
       (fun s ->
@@ -201,7 +202,12 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
         | Ok lr ->
           Array.iteri
             (fun i c -> toggle_union.(i) <- toggle_union.(i) + c)
-            lr.Lockstep.toggles
+            lr.Lockstep.toggles;
+          Array.iteri
+            (fun k (z, o) ->
+              let z', o' = seen_union.(k) in
+              seen_union.(k) <- (z lor z', o lor o'))
+            lr.Lockstep.reg_seen
         | Error _ -> ());
         {
           ir_seed = s;
@@ -261,7 +267,8 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
      input layer first and the symbolic layer as a fallback; layer 3
      shrinks every diverging case before it is recorded *)
   let fault_list =
-    Fault.generate ~seed ~core ~n:faults ~toggles:toggle_union bespoke
+    Fault.generate ~seed ~reg_seen:seen_union ~core ~n:faults
+      ~toggles:toggle_union bespoke
   in
   let fault_results =
     List.map

@@ -15,6 +15,9 @@
      every cycle and on final activity — this exercises the scalar
      fallback path, since random DAGs have none of the word structure
      the compiler mines;
+   - ripple-carry adders the compiler recovers as word instructions
+     must agree with the full-order sweep on every gate under random
+     ternary operands and carry-in, X included;
    - a tailored (bespoke) design must round-trip identically, covering
      const-X ties and cut stitches;
    - the design-hash memoization must hit on re-creation of the same
@@ -25,6 +28,7 @@ module Netlist = Bespoke_netlist.Netlist
 module Gate = Bespoke_netlist.Gate
 module Engine = Bespoke_sim.Engine
 module Compile = Bespoke_sim.Compile
+module Rtl = Bespoke_rtl.Rtl
 module Asm = Bespoke_isa.Asm
 module Lockstep = Bespoke_cpu.Lockstep
 module Activity = Bespoke_analysis.Activity
@@ -179,6 +183,58 @@ let test_random_netlists =
     run_diff
 
 (* ------------------------------------------------------------------ *)
+(* Recovered adders under ternary operands                             *)
+
+let test_adders () =
+  List.iter
+    (fun w ->
+      let bld = Rtl.create_builder () in
+      let a = Rtl.input bld "a" w and b = Rtl.input bld "b" w in
+      let cin = Rtl.input bld "cin" 1 in
+      let sum, co = Rtl.add_co ~cin a b in
+      Rtl.output bld "sum" sum;
+      Rtl.output bld "co" co;
+      let net = Rtl.synthesize bld in
+      let ef = Engine.create ~mode:Full net in
+      let ec = Engine.create ~mode:Compiled net in
+      (match Engine.compile_stats ec with
+      | Some st when st.Compile.adders >= 1 -> ()
+      | _ -> Alcotest.failf "width %d: no adder recovered" w);
+      Engine.reset ef;
+      Engine.reset ec;
+      let r = { s = (w * 7919) lor 1 } in
+      let ng = Netlist.gate_count net in
+      for step = 1 to 400 do
+        (* some steps use known operands only, the rest draw X too *)
+        let draw () =
+          if step mod 4 = 0 then if next r land 1 = 0 then Bit.Zero else Bit.One
+          else rand_bit r
+        in
+        List.iter
+          (fun port ->
+            let v = Array.map (fun _ -> draw ()) (Netlist.find_input net port) in
+            Engine.set_input ef port v;
+            Engine.set_input ec port v)
+          [ "a"; "b"; "cin" ];
+        Engine.eval ef;
+        Engine.eval ec;
+        for id = 0 to ng - 1 do
+          if Engine.value ec id <> Engine.value ef id then
+            Alcotest.failf "width %d step %d gate %d: compiled %c, full %c" w
+              step id
+              (Bit.to_char (Engine.value ec id))
+              (Bit.to_char (Engine.value ef id))
+        done;
+        Engine.commit_cycle ef;
+        Engine.commit_cycle ec
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "width %d toggles" w)
+        true
+        (Engine.toggle_counts ec = Engine.toggle_counts ef))
+    [ 2; 5; 16; 32; 59 ]
+
+(* ------------------------------------------------------------------ *)
 (* Tailored design: const-X ties and cut stitches                      *)
 
 let test_tailored () =
@@ -251,6 +307,7 @@ let () =
           B.all );
       ("fuzz", [ Alcotest.test_case "50 fuzz programs" `Quick test_fuzz_programs ]);
       ("random", [ qt test_random_netlists ]);
+      ("adders", [ Alcotest.test_case "ternary operands" `Quick test_adders ]);
       ("tailored", [ Alcotest.test_case "bespoke mult" `Quick test_tailored ]);
       ("cache", [ Alcotest.test_case "memoization" `Quick test_cache ]);
     ]

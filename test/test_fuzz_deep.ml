@@ -4,7 +4,13 @@
    - deep lockstep + flow fuzzing with the shared {!Fuzzgen} generator;
    - a full verification campaign (all benchmarks, fault injection,
      shrinking) asserting equivalence and a 100% detectable-fault kill
-     score everywhere. *)
+     score everywhere.
+
+   Seeds are random per run; every failure prints its seed, and
+
+     BESPOKE_FUZZ_SEED=<seed> dune exec test/test_fuzz_deep.exe
+
+   replays that one seed through the lockstep and flow checks. *)
 
 module B = Bespoke_programs.Benchmark
 module Asm = Bespoke_isa.Asm
@@ -21,7 +27,7 @@ let shared = lazy (Runner.shared_netlist core)
 let report_divergence ~seed ~src what detail =
   QCheck.Test.fail_reportf
     "seed %d %s: %s@\n\
-     replay: BESPOKE_FUZZ_SEED=%d dune exec test/test_fuzz.exe@\n\
+     replay: BESPOKE_FUZZ_SEED=%d dune exec test/test_fuzz_deep.exe@\n\
      --- generated assembly (seed %d) ---@\n\
      %s--- end assembly ---"
     seed what detail seed seed src
@@ -38,31 +44,74 @@ let test_lockstep_fuzz_deep =
         report_divergence ~seed ~src
           (Printf.sprintf "(gpio 0x%04x) diverged" gpio) m)
 
+(* The flow property for one program: analyze, tailor, and run stock
+   and bespoke designs in lockstep on four GPIO inputs.  [None] when
+   both agree everywhere, else what failed and the detail. *)
+let flow_failure src =
+  let img = Asm.assemble src in
+  let net = Lazy.force shared in
+  let sys = System.create ~netlist:net img in
+  match Activity.analyze sys with
+  | exception Activity.Analysis_error m -> Some ("analysis failed", m)
+  | report ->
+    let bespoke, _ =
+      Cut.tailor net ~possibly_toggled:report.Activity.possibly_toggled
+        ~constants:report.Activity.constant_values
+    in
+    let run design netlist gpio =
+      match Lockstep.run ~netlist ~gpio_in:gpio img with
+      | r -> Ok r
+      | exception Lockstep.Divergence m ->
+        Error (Printf.sprintf "(gpio 0x%04x) %s design diverged" gpio design, m)
+    in
+    let rec probe = function
+      | [] -> None
+      | gpio :: rest -> (
+        match run "stock" net gpio, run "bespoke" bespoke gpio with
+        | Error e, _ | _, Error e -> Some e
+        | Ok a, Ok b ->
+          if
+            a.Lockstep.gpio_final = b.Lockstep.gpio_final
+            && a.Lockstep.cycles = b.Lockstep.cycles
+            && a.Lockstep.outputs = b.Lockstep.outputs
+          then probe rest
+          else
+            Some
+              ( Printf.sprintf "(gpio 0x%04x) bespoke result differs" gpio,
+                Printf.sprintf "gpio_final %04x/%04x, cycles %d/%d (stock/bespoke)"
+                  a.Lockstep.gpio_final b.Lockstep.gpio_final a.Lockstep.cycles
+                  b.Lockstep.cycles ))
+    in
+    probe [ 0; 0x00ff; 0xa5a5; 0xffff ]
+
 let test_flow_fuzz_deep =
   QCheck.Test.make ~name:"deep flow fuzz" ~count:40
     QCheck.(int_bound 10_000_000)
     (fun seed ->
       let src = Fuzzgen.program ~seed in
-      let img = Asm.assemble src in
-      let net = Lazy.force shared in
-      let sys = System.create ~netlist:net img in
-      let report =
-        try Activity.analyze sys
-        with Activity.Analysis_error m ->
-          report_divergence ~seed ~src "analysis failed" m
-      in
-      let bespoke, _ =
-        Cut.tailor net ~possibly_toggled:report.Activity.possibly_toggled
-          ~constants:report.Activity.constant_values
-      in
-      List.for_all
-        (fun gpio ->
-          let a = Lockstep.run ~netlist:net ~gpio_in:gpio img in
-          let b = Lockstep.run ~netlist:bespoke ~gpio_in:gpio img in
-          a.Lockstep.gpio_final = b.Lockstep.gpio_final
-          && a.Lockstep.cycles = b.Lockstep.cycles
-          && a.Lockstep.outputs = b.Lockstep.outputs)
-        [ 0; 0x00ff; 0xa5a5; 0xffff ])
+      match flow_failure src with
+      | None -> true
+      | Some (what, detail) -> report_divergence ~seed ~src what detail)
+
+(* Replay one seed from a failure log: prints the listing, then runs
+   the lockstep check (GPIO 0) and the flow property for it alone. *)
+let replay_cases =
+  match Sys.getenv_opt "BESPOKE_FUZZ_SEED" with
+  | None -> []
+  | Some s ->
+    let seed = int_of_string s in
+    [
+      Alcotest.test_case (Printf.sprintf "replay seed %d" seed) `Quick
+        (fun () ->
+          let src = Fuzzgen.program ~seed in
+          Printf.printf "--- generated assembly (seed %d) ---\n%s%!" seed src;
+          let img = Asm.assemble src in
+          ignore (Lockstep.run ~netlist:(Lazy.force shared) img);
+          match flow_failure src with
+          | None -> ()
+          | Some (what, detail) ->
+            Alcotest.failf "seed %d %s: %s" seed what detail);
+    ]
 
 (* Full campaign across every benchmark: the whole three-layer checker
    must declare every tailoring equivalent, and every detectable
@@ -95,7 +144,8 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bespoke_fuzz_deep"
     [
-      ("deep-fuzz", [ qt test_lockstep_fuzz_deep; qt test_flow_fuzz_deep ]);
+      ( "deep-fuzz",
+        qt test_lockstep_fuzz_deep :: qt test_flow_fuzz_deep :: replay_cases );
       ( "deep-verify",
         [ Alcotest.test_case "full campaign" `Slow test_full_campaign ] );
     ]

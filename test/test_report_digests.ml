@@ -6,6 +6,10 @@
    execution-tree counts, so a change meant only to make analysis
    faster cannot alter a single gate's verdict unnoticed.
 
+   The table is checked on the default (compiled) engine, and on the
+   event-driven and full-sweep engines for the five cheapest pairs,
+   so the engines stay pinned to each other as oracles.
+
    When a change is meant to alter the reports, regenerate the table
    from the "got" lines the failing run prints. *)
 
@@ -56,9 +60,9 @@ let pairs =
   List.map (fun b -> (Cores.msp430.Cores.core, b)) B.table1
   @ List.map (fun b -> (Cores.rv32.Cores.core, b)) Cores.rv32.Cores.benchmarks
 
-let test_pair (core, (b : B.t)) () =
+let test_pair ?engine (core, (b : B.t)) () =
   let cname = core.Coredef.name in
-  let report, _ = Runner.analyze ~core b in
+  let report, _ = Runner.analyze ?engine ~core b in
   let got = digest report in
   Printf.printf "got ((%S, %S), %S);\n%!" cname b.B.name got;
   match List.assoc_opt (cname, b.B.name) pinned with
@@ -66,6 +70,22 @@ let test_pair (core, (b : B.t)) () =
   | Some want ->
     Alcotest.(check string) (Printf.sprintf "%s/%s report digest" cname b.B.name)
       want got
+
+(* the five pairs with the shortest analyses *)
+let cheapest =
+  [ ("rv32", "mult"); ("msp430", "dbg"); ("msp430", "mult");
+    ("msp430", "intAVG"); ("rv32", "intAVG") ]
+
+let oracle_cases engine =
+  List.filter_map
+    (fun ((core, (b : B.t)) as p) ->
+      if List.mem (core.Coredef.name, b.B.name) cheapest then
+        Some
+          (Alcotest.test_case
+             (Printf.sprintf "%s/%s" core.Coredef.name b.B.name)
+             `Quick (test_pair ~engine p))
+      else None)
+    pairs
 
 let () =
   Alcotest.run "report_digests"
@@ -77,4 +97,6 @@ let () =
               (Printf.sprintf "%s/%s" core.Coredef.name b.B.name)
               `Quick (test_pair p))
           pairs );
+      ("event", oracle_cases Runner.Event);
+      ("full", oracle_cases Runner.Full);
     ]

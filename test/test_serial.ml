@@ -49,7 +49,7 @@ let test_mutants () =
         | _ -> 1)
       bespoke.Netlist.gates
   in
-  let faults = Fault.generate ~core ~seed:7 ~n:10 ~toggles bespoke in
+  let faults = Fault.generate ~reg_seen:[||] ~core ~seed:7 ~n:10 ~toggles bespoke in
   Alcotest.(check bool) "some faults drawn" true (List.length faults >= 5);
   List.iter
     (fun (f : Fault.t) ->

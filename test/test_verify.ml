@@ -74,11 +74,11 @@ let all_exercised net =
 let test_generate_deterministic () =
   let net = Lazy.force bespoke_mult in
   let toggles = all_exercised net in
-  let a = Fault.generate ~core ~seed:3 ~n:8 ~toggles net in
-  let b = Fault.generate ~core ~seed:3 ~n:8 ~toggles net in
+  let a = Fault.generate ~reg_seen:[||] ~core ~seed:3 ~n:8 ~toggles net in
+  let b = Fault.generate ~reg_seen:[||] ~core ~seed:3 ~n:8 ~toggles net in
   Alcotest.(check int) "n faults" 8 (List.length a);
   Alcotest.(check bool) "same seed, same faults" true (a = b);
-  let c = Fault.generate ~core ~seed:4 ~n:8 ~toggles net in
+  let c = Fault.generate ~reg_seen:[||] ~core ~seed:4 ~n:8 ~toggles net in
   Alcotest.(check bool) "different seed, different draw" true (a <> c);
   (* distinct sites *)
   let sites = List.map (fun f -> f.Fault.gate) a in
@@ -106,7 +106,7 @@ let test_inject_one_gate () =
         Alcotest.(check bool) "stuck gate is a tie" true
           (mutant.Netlist.gates.(f.Fault.gate).Gate.op = Gate.Const v)
       | _ -> ())
-    (Fault.generate ~core ~seed:1 ~n:10 ~toggles net)
+    (Fault.generate ~reg_seen:[||] ~core ~seed:1 ~n:10 ~toggles net)
 
 (* --- a small fixed-seed campaign ------------------------------------ *)
 
@@ -142,6 +142,31 @@ let test_campaign_kills () =
           (r.Shrink.seeds <> [])
       | _ -> ())
     c.Verify.faults
+
+(* Regression: at seed 6 the intFilt campaign draws a stuck-at-1 on
+   pc[15].  That bit toggles during reset but holds 1 at every
+   instruction boundary, so no comparison can see the fault; it used
+   to be classed detectable (on toggles alone) and fail the
+   campaign. *)
+let test_reset_only_toggle_not_detectable () =
+  let c = Verify.check_benchmark ~core ~faults:8 ~seed:6 (B.find "intFilt") in
+  let pc15 =
+    List.filter
+      (fun fr ->
+        let d = fr.Verify.fault.Fault.desc in
+        let n = String.length d in
+        n >= 6 && String.sub d (n - 6) 6 = "pc[15]")
+      c.Verify.faults
+  in
+  Alcotest.(check bool) "the pc[15] fault is drawn" true (pc15 <> []);
+  List.iter
+    (fun fr ->
+      Alcotest.(check bool) "pc[15] stuck-at-1 is not detectable" false
+        (fr.Verify.fault.Fault.kind = Fault.Stuck_at Bit.One
+        && fr.Verify.fault.Fault.detectable))
+    pc15;
+  Alcotest.(check (float 0.01)) "detectable kill score" 100.0
+    (Verify.detectable_score_pct (Verify.kill_stats c))
 
 let test_json_artifact () =
   let c = Lazy.force campaign in
@@ -180,5 +205,7 @@ let () =
           Alcotest.test_case "mult equivalent" `Quick test_campaign_equivalent;
           Alcotest.test_case "fault kills" `Quick test_campaign_kills;
           Alcotest.test_case "json artifact" `Quick test_json_artifact;
+          Alcotest.test_case "intFilt seed 6: reset-only toggle" `Quick
+            test_reset_only_toggle_not_detectable;
         ] );
     ]
